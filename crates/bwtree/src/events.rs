@@ -6,6 +6,7 @@
 //! paper's example). Keeping the tree decoupled from the WAL lets the same
 //! tree code run standalone (micro-benchmarks) or replicated.
 
+use bg3_storage::StorageResult;
 use std::sync::Arc;
 
 /// One logical mutation, emitted after the corresponding flush succeeded.
@@ -40,7 +41,9 @@ pub enum TreeEvent {
 /// the write path under the tree latch.
 pub trait TreeEventListener: Send + Sync {
     /// Called once per logical mutation, in commit order for a given tree.
-    fn on_event(&self, tree: u64, event: &TreeEvent);
+    /// An error (e.g. the WAL append behind it failed) aborts the mutation:
+    /// the tree propagates it to the writer, who must not be acked.
+    fn on_event(&self, tree: u64, event: &TreeEvent) -> StorageResult<()>;
 }
 
 /// A no-op listener (the default).
@@ -48,7 +51,9 @@ pub trait TreeEventListener: Send + Sync {
 pub struct NullListener;
 
 impl TreeEventListener for NullListener {
-    fn on_event(&self, _tree: u64, _event: &TreeEvent) {}
+    fn on_event(&self, _tree: u64, _event: &TreeEvent) -> StorageResult<()> {
+        Ok(())
+    }
 }
 
 /// A listener that records events in memory; used by tests and by the
@@ -81,8 +86,9 @@ impl RecordingListener {
 }
 
 impl TreeEventListener for RecordingListener {
-    fn on_event(&self, tree: u64, event: &TreeEvent) {
+    fn on_event(&self, tree: u64, event: &TreeEvent) -> StorageResult<()> {
         self.events.lock().push((tree, event.clone()));
+        Ok(())
     }
 }
 
@@ -101,14 +107,16 @@ mod tests {
                 key: vec![1],
                 value: vec![2],
             },
-        );
+        )
+        .unwrap();
         rec.on_event(
             1,
             &TreeEvent::Delete {
                 page: 2,
                 key: vec![1],
             },
-        );
+        )
+        .unwrap();
         assert_eq!(rec.len(), 2);
         let drained = rec.drain();
         assert!(matches!(drained[0].1, TreeEvent::Upsert { .. }));
@@ -118,12 +126,14 @@ mod tests {
 
     #[test]
     fn null_listener_is_a_noop() {
-        NullListener.on_event(
-            0,
-            &TreeEvent::Consolidate {
-                page: 1,
-                image: vec![],
-            },
-        );
+        NullListener
+            .on_event(
+                0,
+                &TreeEvent::Consolidate {
+                    page: 1,
+                    image: vec![],
+                },
+            )
+            .unwrap();
     }
 }

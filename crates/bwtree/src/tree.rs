@@ -394,8 +394,9 @@ impl BwTree {
             },
         };
         // WAL-before-data: the listener (when it is the sync layer) appends
-        // the log record before any page data reaches the store.
-        self.listener.on_event(self.id as u64, &event);
+        // the log record before any page data reaches the store, and a
+        // failed append aborts the write here, before anything mutates.
+        self.listener.on_event(self.id as u64, &event)?;
 
         // Maintain the O(1) live-entry counter.
         let existed = inner
@@ -509,7 +510,7 @@ impl BwTree {
                     page: leaf as u64,
                     image,
                 },
-            );
+            )?;
             return self.maybe_split(inner, leaf);
         }
 
@@ -610,7 +611,7 @@ impl BwTree {
                     left_image,
                     right_image,
                 },
-            );
+            )?;
             // The right half might still exceed the limit for pathological
             // limits; loop handles the (rare) cascade on the left half only,
             // so also check the right half explicitly.

@@ -1,21 +1,20 @@
 //! The BG3 engine: Bw-tree forest over append-only shared storage.
 
-use bg3_bwtree::{BwTree, BwTreeConfig, FlushMode, PageTag, TreeEventListener};
+use bg3_bwtree::{BwTree, BwTreeConfig, FlushMode, PageTag};
 use bg3_forest::{BwTreeForest, ForestConfig, INIT_TREE_ID};
 use bg3_gc::{
-    DirtyRatioPolicy, FifoPolicy, ScrubConfig, ScrubReport, Scrubber, SpaceReclaimer,
-    WorkloadAwarePolicy,
+    DirtyRatioPolicy, FifoPolicy, ReclaimPolicy, ScrubConfig, ScrubReport, Scrubber,
+    SpaceReclaimer, WorkloadAwarePolicy,
 };
 use bg3_graph::{
     decode_dst, edge_group, edge_item, vertex_key, Edge, EdgeType, GraphStore, Vertex, VertexId,
 };
 use bg3_storage::{
-    AppendOnlyStore, CrashPoint, CrashSwitch, PageAddr, RepairSupply, SharedMappingTable,
-    StorageResult, StoreBuilder, StoreConfig,
+    AppendOnlyStore, CrashSwitch, PageAddr, RepairSupply, SharedMappingTable, StorageResult,
+    StoreBuilder, StoreConfig,
 };
-use bg3_sync::{recover_tree, WalListener};
-use bg3_wal::{Lsn, WalPayload, WalWriter};
-use parking_lot::Mutex;
+use bg3_sync::Leader;
+use bg3_wal::{Lsn, WalPayload};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -117,22 +116,23 @@ impl Bg3Config {
         self
     }
 
-    /// The per-tree config durable trees run with: the caller's knobs plus
-    /// deferred flushing (the WAL carries durability).
+    /// The per-tree config durable forest trees run with: the caller's
+    /// knobs plus deferred flushing (the WAL carries durability).
     fn durable_tree_config(&self) -> BwTreeConfig {
         self.forest
             .tree_config
             .clone()
             .with_flush_mode(FlushMode::Deferred)
     }
+
+    /// The vertex table's config: default knobs plus the forest's retry.
+    fn vertex_tree_config(&self) -> BwTreeConfig {
+        BwTreeConfig::default().with_retry(self.forest.tree_config.retry)
+    }
 }
 
 /// Reserved tree id for the vertex table.
 const VERTEX_TREE_ID: u32 = u32::MAX;
-
-/// Mapping updates flushed but not yet published, shared with the GC router
-/// so relocation can patch addresses that are still awaiting publication.
-type PendingPublish = Arc<Mutex<Vec<(u64, Option<PageAddr>)>>>;
 
 /// The BG3 graph database engine (single node).
 pub struct Bg3Db {
@@ -140,14 +140,10 @@ pub struct Bg3Db {
     forest: Arc<BwTreeForest>,
     vertices: Arc<BwTree>,
     config: Bg3Config,
-    /// Durable-mode handles; `None` when running without durability.
-    wal: Option<Arc<WalWriter>>,
-    mapping: Option<SharedMappingTable>,
-    /// Flushed-but-unpublished mapping updates, carried over when a publish
-    /// is dropped by an injected metadata fault (or a crash interrupts a
-    /// checkpoint): pages leave the dirty set on flush, so these addresses
-    /// must reach the mapping before a `CheckpointComplete` may cover them.
-    pending_publish: PendingPublish,
+    /// Durable mode: the leader protocol (fenced WAL, mapping table,
+    /// group commit) over the forest's trees and the vertex table. `None`
+    /// when running without durability.
+    leader: Option<Arc<Leader>>,
     /// Crash switch shared with the forest and every tree; arming it kills
     /// the engine at the corresponding named crash point.
     crash: CrashSwitch,
@@ -166,78 +162,37 @@ impl Bg3Db {
     /// Opens an engine over an existing (possibly shared) store.
     pub fn with_store(store: AppendOnlyStore, config: Bg3Config) -> Self {
         if config.durability.is_none() {
-            let forest = Arc::new(BwTreeForest::new(store.clone(), config.forest.clone()));
-            let crash = forest.crash_switch().clone();
-            let vertices = Arc::new(BwTree::new(
-                VERTEX_TREE_ID,
-                store.clone(),
-                BwTreeConfig::default(),
-            ));
-            return Bg3Db {
-                store,
-                forest,
-                vertices,
-                config,
-                wal: None,
-                mapping: None,
-                pending_publish: Arc::new(Mutex::new(Vec::new())),
-                crash,
-                scrub_cursor: bg3_gc::ScrubCursor::default(),
-            };
+            let forest = BwTreeForest::new(store.clone(), config.forest.clone());
+            let vertices = BwTree::new(VERTEX_TREE_ID, store.clone(), BwTreeConfig::default());
+            return Self::assemble(store, forest, vertices, config, None);
         }
-        let wal =
-            Arc::new(WalWriter::new(store.clone()).with_retry(config.forest.tree_config.retry));
-        let listener: Arc<dyn TreeEventListener> = WalListener::new(Arc::clone(&wal));
+        let leader = Leader::new(store.clone(), config.forest.tree_config.retry);
         let mut forest_config = config.forest.clone();
         forest_config.tree_config = config.durable_tree_config();
-        let forest = Arc::new(BwTreeForest::with_listener(
-            store.clone(),
-            forest_config,
-            Arc::clone(&listener),
-        ));
-        let crash = forest.crash_switch().clone();
-        let mut vertices = BwTree::with_listener(
-            VERTEX_TREE_ID,
-            store.clone(),
-            BwTreeConfig::default()
-                .with_flush_mode(FlushMode::Deferred)
-                .with_retry(config.forest.tree_config.retry),
-            listener,
-        );
-        vertices.set_crash_switch(crash.clone());
-        let mapping = SharedMappingTable::for_store(&store);
-        Bg3Db {
-            store,
-            forest,
-            vertices: Arc::new(vertices),
-            config,
-            wal: Some(wal),
-            mapping: Some(mapping),
-            pending_publish: Arc::new(Mutex::new(Vec::new())),
-            crash,
-            scrub_cursor: bg3_gc::ScrubCursor::default(),
-        }
+        let forest = BwTreeForest::with_listener(store.clone(), forest_config, leader.listener());
+        let vertices = leader.tree(VERTEX_TREE_ID, config.vertex_tree_config());
+        Self::assemble(store, forest, vertices, config, Some(leader))
     }
 
     /// Rebuilds a durable engine after a crash, from the two pieces of
     /// state that survive an RW node's death: the shared store (pages +
     /// WAL) and the shared mapping table (the metadata service).
     ///
-    /// The WAL stream is rescanned from storage; `ForestSplitOut` commit
+    /// The leader reopens the WAL from storage; `ForestSplitOut` commit
     /// records rebuild the forest directory (a split-out that crashed
     /// before its commit record leaves the INIT tree authoritative and its
     /// half-built tree an ignored orphan); each surviving tree is then
-    /// recovered via `bg3-sync` from its mapped page images plus WAL
-    /// replay past the last `CheckpointComplete` horizon.
+    /// recovered from its mapped page images plus WAL replay past the last
+    /// `CheckpointComplete` horizon.
     pub fn recover(
         store: AppendOnlyStore,
         mapping: SharedMappingTable,
         mut config: Bg3Config,
     ) -> StorageResult<Self> {
         config.durability = Some(config.durability.unwrap_or_default());
-        let (wal, records) = WalWriter::recover(store.clone())?;
-        let wal = Arc::new(wal.with_retry(config.forest.tree_config.retry));
-        let listener: Arc<dyn TreeEventListener> = WalListener::new(Arc::clone(&wal));
+        let epoch = mapping.epoch();
+        let retry = config.forest.tree_config.retry;
+        let (leader, records) = Leader::recover(store.clone(), mapping, epoch, retry)?;
         let tree_config = config.durable_tree_config();
 
         // Committed split-outs only; BTreeMap for deterministic recovery
@@ -248,24 +203,10 @@ impl Bg3Db {
                 directory_ids.insert(group.clone(), record.tree as u32);
             }
         }
-        let init = recover_tree(
-            INIT_TREE_ID,
-            store.clone(),
-            &mapping,
-            &records,
-            tree_config.clone(),
-            Arc::clone(&listener),
-        )?;
+        let init = leader.recover_tree(INIT_TREE_ID, &records, tree_config.clone())?;
         let mut directory = Vec::with_capacity(directory_ids.len());
         for (group, id) in directory_ids {
-            let tree = recover_tree(
-                id,
-                store.clone(),
-                &mapping,
-                &records,
-                tree_config.clone(),
-                Arc::clone(&listener),
-            )?;
+            let tree = leader.recover_tree(id, &records, tree_config.clone())?;
             directory.push((group, tree));
         }
         // Never reuse a forest tree id — orphans from crashed split-outs
@@ -277,41 +218,40 @@ impl Bg3Db {
             .max()
             .unwrap_or(INIT_TREE_ID as u64) as u32
             + 1;
-        let forest = Arc::new(BwTreeForest::assemble(
+        let mut forest_config = config.forest.clone();
+        forest_config.tree_config = tree_config;
+        let forest = BwTreeForest::assemble(
             store.clone(),
-            {
-                let mut fc = config.forest.clone();
-                fc.tree_config = tree_config.clone();
-                fc
-            },
-            Some(Arc::clone(&listener)),
+            forest_config,
+            Some(leader.listener()),
             init,
             directory,
             next_tree_id,
-        ));
-        let mut vertices = recover_tree(
-            VERTEX_TREE_ID,
-            store.clone(),
-            &mapping,
-            &records,
-            BwTreeConfig::default()
-                .with_flush_mode(FlushMode::Deferred)
-                .with_retry(config.forest.tree_config.retry),
-            listener,
-        )?;
+        );
+        let vertices =
+            leader.recover_tree(VERTEX_TREE_ID, &records, config.vertex_tree_config())?;
+        let leader = Some(leader);
+        Ok(Self::assemble(store, forest, vertices, config, leader))
+    }
+
+    fn assemble(
+        store: AppendOnlyStore,
+        forest: BwTreeForest,
+        mut vertices: BwTree,
+        config: Bg3Config,
+        leader: Option<Leader>,
+    ) -> Self {
         let crash = forest.crash_switch().clone();
         vertices.set_crash_switch(crash.clone());
-        Ok(Bg3Db {
+        Bg3Db {
             store,
-            forest,
+            forest: Arc::new(forest),
             vertices: Arc::new(vertices),
             config,
-            wal: Some(wal),
-            mapping: Some(mapping),
-            pending_publish: Arc::new(Mutex::new(Vec::new())),
+            leader: leader.map(Arc::new),
             crash,
             scrub_cursor: bg3_gc::ScrubCursor::default(),
-        })
+        }
     }
 
     /// The shared store (I/O counters, clock).
@@ -327,12 +267,14 @@ impl Bg3Db {
     /// The shared mapping table (durable mode only) — the handle a crash
     /// harness carries across restarts.
     pub fn mapping(&self) -> Option<&SharedMappingTable> {
-        self.mapping.as_ref()
+        self.leader.as_ref().map(|l| l.mapping())
     }
 
     /// Last WAL LSN written (durable mode; [`Lsn::ZERO`] otherwise).
     pub fn last_lsn(&self) -> Lsn {
-        self.wal.as_ref().map(|w| w.last_lsn()).unwrap_or(Lsn::ZERO)
+        self.leader
+            .as_ref()
+            .map_or(Lsn::ZERO, |l| l.wal().last_lsn())
     }
 
     /// The crash switch shared by the engine, its forest, and every tree.
@@ -342,73 +284,22 @@ impl Bg3Db {
 
     /// Flushes every dirty page across the forest and vertex trees,
     /// publishes the new addresses to the shared mapping table, and logs a
-    /// `CheckpointComplete` horizon per affected tree. Durable mode only
-    /// (a no-op returning [`Lsn::ZERO`] otherwise).
+    /// `CheckpointComplete` horizon per affected tree (see
+    /// [`Leader::checkpoint`]). Durable mode only (a no-op returning
+    /// [`Lsn::ZERO`] otherwise).
     pub fn checkpoint(&self) -> StorageResult<Lsn> {
-        let (Some(wal), Some(mapping)) = (&self.wal, &self.mapping) else {
+        let Some(leader) = &self.leader else {
             return Ok(Lsn::ZERO);
         };
-        let upto = wal.last_lsn();
-        // Flushed pages leave the dirty set immediately, so their addresses
-        // must survive any interruption from here on — stash them back into
-        // `pending_publish` on every early exit.
-        let mut updates = std::mem::take(&mut *self.pending_publish.lock());
-        let mut flushed_trees = Vec::new();
         let mut trees = self.forest.all_trees();
         trees.push(Arc::clone(&self.vertices));
-        for tree in trees {
-            let flushed = match tree.flush_dirty() {
-                Ok(flushed) => flushed,
-                Err(err) => {
-                    *self.pending_publish.lock() = updates;
-                    return Err(err);
-                }
-            };
-            if flushed.is_empty() {
-                continue;
-            }
-            updates.extend(flushed.iter().map(|f| {
-                (
-                    PageTag {
-                        tree: tree.id(),
-                        page: f.page,
-                    }
-                    .encode(),
-                    Some(f.addr),
-                )
-            }));
-            flushed_trees.push(tree.id());
-        }
-        // Chaos hook: die after the flushes but before the publish — new
-        // page images are durable yet unreachable, and no horizon advanced,
-        // so recovery replays the WAL past the previous checkpoint.
-        if let Err(crash) = self.crash.fire(CrashPoint::MidGroupCommit) {
-            *self.pending_publish.lock() = updates;
-            return Err(crash);
-        }
-        let mut version = mapping.snapshot().version();
-        if !updates.is_empty() {
-            let after = mapping.publish(updates.clone());
-            if after == version {
-                // The publish was dropped (injected metadata fault). Do NOT
-                // log a checkpoint: a horizon the mapping does not cover
-                // would lose these pages on recovery. Retry next time.
-                *self.pending_publish.lock() = updates;
-                return Ok(upto);
-            }
-            version = after;
-        }
-        for id in flushed_trees {
-            wal.append(
-                id as u64,
-                0,
-                WalPayload::CheckpointComplete {
-                    upto: upto.0,
-                    mapping_version: version,
-                },
-            )?;
-        }
-        Ok(upto)
+        leader.checkpoint(&trees, &self.crash)
+    }
+
+    /// Durable mode: rejects a mutation from a fenced (sealed-out) engine
+    /// before it touches a tree.
+    fn check_fence(&self) -> StorageResult<()> {
+        self.leader.as_ref().map_or(Ok(()), |l| l.check_fence())
     }
 
     fn maybe_group_commit(&self) -> StorageResult<()> {
@@ -422,65 +313,44 @@ impl Bg3Db {
         Ok(())
     }
 
-    fn gc_router(&self) -> impl Fn(u64, bg3_storage::PageAddr, bg3_storage::PageAddr) {
+    fn gc_router(&self) -> impl Fn(u64, PageAddr, PageAddr) {
         let forest = Arc::clone(&self.forest);
         let vertices = Arc::clone(&self.vertices);
-        let mapping = self.mapping.clone();
-        let pending = Arc::clone(&self.pending_publish);
+        let leader = self.leader.clone();
         move |tag: u64, old, new| {
             if !forest.repair_relocated(tag, old, new) {
-                let decoded = bg3_bwtree::PageTag::decode(tag);
+                let decoded = PageTag::decode(tag);
                 if decoded.tree == VERTEX_TREE_ID {
                     vertices.repair_relocated(decoded.page, old, new);
                 }
             }
-            // Relocation reports `old` with a placeholder record id, so
-            // match mapping entries by physical slot, not full address.
-            let same_slot = |a: PageAddr| {
-                a.stream == old.stream && a.extent == old.extent && a.offset == old.offset
-            };
             // Durable mode: the metadata service must follow the move too.
-            // The fix-up publishes before the old extent is reclaimed, so a
-            // crash anywhere around it leaves the mapping readable — either
-            // address is still live when the publish hasn't happened yet.
-            if let Some(mapping) = &mapping {
-                if mapping.snapshot().get(tag).is_some_and(same_slot) {
-                    mapping.publish([(tag, Some(new))]);
-                }
-            }
-            // Flushed-but-unpublished addresses stashed for the next
-            // checkpoint go stale the same way.
-            for slot in pending.lock().iter_mut() {
-                if slot.0 == tag && slot.1.is_some_and(same_slot) {
-                    slot.1 = Some(new);
-                }
+            if let Some(leader) = &leader {
+                leader.relocate(tag, old, new);
             }
         }
     }
 
-    /// Runs one space-reclamation cycle with the configured policy, routing
-    /// relocation fix-ups back into the forest's mapping tables. Returns
-    /// the cycle report (moved bytes = write amplification). The engine's
-    /// crash switch rides along, so arming [`CrashPoint::MidGcCycle`] kills
-    /// the cycle mid-relocation.
+    /// The configured space reclaimer, routing relocation fix-ups back
+    /// into the trees and the mapping table. The engine's crash switch
+    /// rides along, so arming [`bg3_storage::CrashPoint::MidGcCycle`] kills a cycle
+    /// mid-relocation.
+    fn reclaimer(
+        &self,
+    ) -> SpaceReclaimer<Box<dyn ReclaimPolicy>, impl Fn(u64, PageAddr, PageAddr)> {
+        let policy: Box<dyn ReclaimPolicy> = match self.config.gc_policy {
+            GcPolicyKind::Fifo => Box::new(FifoPolicy),
+            GcPolicyKind::DirtyRatio => Box::new(DirtyRatioPolicy),
+            GcPolicyKind::WorkloadAware => Box::new(WorkloadAwarePolicy::default()),
+        };
+        SpaceReclaimer::new(self.store.clone(), policy, self.gc_router())
+            .with_crash_switch(self.crash.clone())
+    }
+
+    /// Runs one space-reclamation cycle with the configured policy.
+    /// Returns the cycle report (moved bytes = write amplification).
     pub fn run_gc_cycle(&self, budget: usize) -> StorageResult<bg3_gc::CycleReport> {
-        let router = self.gc_router();
-        let crash = self.crash.clone();
-        match self.config.gc_policy {
-            GcPolicyKind::Fifo => SpaceReclaimer::new(self.store.clone(), FifoPolicy, router)
-                .with_crash_switch(crash)
-                .run_cycle(budget),
-            GcPolicyKind::DirtyRatio => {
-                SpaceReclaimer::new(self.store.clone(), DirtyRatioPolicy, router)
-                    .with_crash_switch(crash)
-                    .run_cycle(budget)
-            }
-            GcPolicyKind::WorkloadAware => {
-                SpaceReclaimer::new(self.store.clone(), WorkloadAwarePolicy::default(), router)
-                    .with_crash_switch(crash)
-                    .run_cycle(budget)
-            }
-        }
+        self.reclaimer().run_cycle(budget)
     }
 
     /// Reclaims until the page streams' utilization reaches `target` (or no
@@ -491,19 +361,7 @@ impl Bg3Db {
         target: f64,
         per_cycle: usize,
     ) -> StorageResult<bg3_gc::CycleReport> {
-        let router = self.gc_router();
-        match self.config.gc_policy {
-            GcPolicyKind::Fifo => SpaceReclaimer::new(self.store.clone(), FifoPolicy, router)
-                .reclaim_to_utilization(target, per_cycle),
-            GcPolicyKind::DirtyRatio => {
-                SpaceReclaimer::new(self.store.clone(), DirtyRatioPolicy, router)
-                    .reclaim_to_utilization(target, per_cycle)
-            }
-            GcPolicyKind::WorkloadAware => {
-                SpaceReclaimer::new(self.store.clone(), WorkloadAwarePolicy::default(), router)
-                    .reclaim_to_utilization(target, per_cycle)
-            }
-        }
+        self.reclaimer().reclaim_to_utilization(target, per_cycle)
     }
 
     /// The scrubber's repair source: re-encodes the record a tree still owns
@@ -586,6 +444,7 @@ impl Bg3Db {
 
 impl GraphStore for Bg3Db {
     fn insert_edge(&self, edge: &Edge) -> StorageResult<()> {
+        self.check_fence()?;
         self.forest.put(
             &edge_group(edge.src, edge.etype),
             &edge_item(edge.dst),
@@ -611,6 +470,7 @@ impl GraphStore for Bg3Db {
     }
 
     fn delete_edge(&self, src: VertexId, etype: EdgeType, dst: VertexId) -> StorageResult<()> {
+        self.check_fence()?;
         self.forest
             .delete(&edge_group(src, etype), &edge_item(dst))?;
         if self.config.maintain_reverse_edges && !etype.is_reverse() {
@@ -677,6 +537,7 @@ impl GraphStore for Bg3Db {
     }
 
     fn insert_vertex(&self, vertex: &Vertex) -> StorageResult<()> {
+        self.check_fence()?;
         self.vertices.put(&vertex_key(vertex.id), &vertex.props)?;
         self.maybe_group_commit()
     }
@@ -1076,6 +937,129 @@ mod tests {
             recovered.get_vertex(VertexId(1)).unwrap(),
             Some(b"v".to_vec())
         );
+    }
+
+    #[test]
+    fn sealed_epoch_fences_the_engine_and_restart_adopts_it() {
+        let config = Bg3Config::default().with_group_commit_pages(usize::MAX);
+        let db = Bg3Db::new(config.clone());
+        let before = Edge::new(VertexId(1), EdgeType::FOLLOW, VertexId(2));
+        db.insert_edge(&before).unwrap();
+        let mapping = db.mapping().unwrap().clone();
+        // A successor seals the next epoch: this engine is now a zombie.
+        mapping.seal_epoch(2).unwrap();
+        let zombie = Edge::new(VertexId(1), EdgeType::FOLLOW, VertexId(3));
+        assert!(db.insert_edge(&zombie).unwrap_err().is_fenced());
+        assert_eq!(
+            db.get_edge(VertexId(1), EdgeType::FOLLOW, VertexId(3))
+                .unwrap(),
+            None,
+            "a fenced write never reaches the forest"
+        );
+        assert!(db.checkpoint().unwrap_err().is_fenced());
+        assert!(db
+            .get_edge(VertexId(1), EdgeType::FOLLOW, VertexId(2))
+            .unwrap()
+            .is_some());
+        // A restart reopens the leader on the sealed-in epoch and writes.
+        let store = db.store().clone();
+        drop(db);
+        let recovered = Bg3Db::recover(store, mapping, config).unwrap();
+        recovered.insert_edge(&zombie).unwrap();
+        recovered.checkpoint().unwrap();
+        assert!(recovered
+            .get_edge(VertexId(1), EdgeType::FOLLOW, VertexId(2))
+            .unwrap()
+            .is_some());
+    }
+
+    #[test]
+    fn republished_stash_logs_a_horizon_for_every_covered_tree() {
+        use bg3_storage::{FaultKind, FaultOp, FaultPlan, FaultRule};
+        let plan = FaultPlan::seeded(3).with_rule(
+            FaultRule::new(FaultOp::MappingPublish, FaultKind::PublishDrop, 1.0).at_most(1),
+        );
+        let config = Bg3Config {
+            store: StoreConfig::counting().with_faults(plan),
+            ..Bg3Config::default().with_group_commit_pages(usize::MAX)
+        };
+        let db = Bg3Db::new(config);
+        db.insert_vertex(&Vertex {
+            id: VertexId(1),
+            props: b"v".to_vec(),
+        })
+        .unwrap();
+        db.checkpoint().unwrap(); // publish dropped; the flush is stashed
+        db.checkpoint().unwrap(); // nothing new to flush; stash re-published
+        let (_, records) = bg3_wal::WalWriter::recover(db.store().clone()).unwrap();
+        assert!(
+            records.iter().any(|r| r.tree == VERTEX_TREE_ID as u64
+                && matches!(r.payload, WalPayload::CheckpointComplete { .. })),
+            "the re-published vertex pages advance the vertex tree's horizon"
+        );
+    }
+
+    #[test]
+    fn wal_failure_is_a_typed_error_not_a_panic() {
+        use bg3_storage::{
+            ErrorKind, FaultBackend, FaultKind, FaultOp, FaultPlan, FaultRule, IoErrorClass,
+            SimBackend,
+        };
+        // The first WAL fsync succeeds; every later one fails.
+        let plan = FaultPlan::seeded(1)
+            .with_rule(FaultRule::new(FaultOp::Sync, FaultKind::SyncFail, 1.0).after(1));
+        let backend = Arc::new(FaultBackend::new(Arc::new(SimBackend::new()), plan));
+        let config = Bg3Config::default().with_group_commit_pages(usize::MAX);
+        let store = StoreBuilder::from_config(config.store.clone())
+            .backend(backend)
+            .build();
+        let db = Bg3Db::with_store(store, config);
+        let edge = |dst| Edge::new(VertexId(1), EdgeType::FOLLOW, VertexId(dst));
+        db.insert_edge(&edge(2)).unwrap();
+        let err = db.insert_edge(&edge(3)).unwrap_err();
+        assert!(
+            matches!(
+                err.kind,
+                ErrorKind::Io {
+                    class: IoErrorClass::SyncFailed,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(db.insert_edge(&edge(4)).unwrap_err().is_sync_poisoned());
+        assert!(db
+            .get_edge(VertexId(1), EdgeType::FOLLOW, VertexId(2))
+            .unwrap()
+            .is_some());
+        assert_eq!(
+            db.get_edge(VertexId(1), EdgeType::FOLLOW, VertexId(3))
+                .unwrap(),
+            None,
+            "an unlogged write never reaches the forest"
+        );
+    }
+
+    #[test]
+    fn reclaim_to_utilization_honours_the_gc_crash_point() {
+        let config = Bg3Config {
+            store: StoreConfig::counting().with_extent_capacity(512),
+            gc_policy: GcPolicyKind::DirtyRatio,
+            ..Bg3Config::default()
+        };
+        let db = Bg3Db::new(config);
+        for round in 0..20u64 {
+            for dst in 0..10u64 {
+                db.insert_edge(
+                    &Edge::new(VertexId(1), EdgeType::LIKE, VertexId(dst))
+                        .with_props(round.to_le_bytes().to_vec()),
+                )
+                .unwrap();
+            }
+        }
+        db.crash_switch().arm(bg3_storage::CrashPoint::MidGcCycle);
+        let err = db.reclaim_to_utilization(1.0, 8).unwrap_err();
+        assert!(err.is_crash(), "{err:?}");
     }
 
     #[test]

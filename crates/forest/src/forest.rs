@@ -344,7 +344,7 @@ impl BwTreeForest {
                 &TreeEvent::ForestSplitOut {
                     group: group.to_vec(),
                 },
-            );
+            )?;
         }
         drop(stripe);
         self.store.trace().emit(

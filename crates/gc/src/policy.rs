@@ -26,6 +26,17 @@ pub trait ReclaimPolicy: Send + Sync {
     fn plan(&self, candidates: &[ExtentInfo], now: SimInstant, budget: usize) -> ReclaimPlan;
 }
 
+/// A boxed policy chosen at run time is a policy too.
+impl ReclaimPolicy for Box<dyn ReclaimPolicy> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn plan(&self, candidates: &[ExtentInfo], now: SimInstant, budget: usize) -> ReclaimPlan {
+        (**self).plan(candidates, now, budget)
+    }
+}
+
 /// Keeps only sealed extents that actually contain garbage or can expire.
 fn reclaimable(candidates: &[ExtentInfo]) -> Vec<&ExtentInfo> {
     candidates

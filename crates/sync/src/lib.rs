@@ -5,12 +5,20 @@
 //!
 //! ## The BG3 mechanism
 //!
-//! * The **RW node** ([`RwNode`]) applies every mutation to its in-memory
-//!   Bw-tree and appends a WAL record to the shared store *before*
-//!   acknowledging (write-ahead; Fig. 7 steps (1)–(2)). Dirty pages are
-//!   *not* flushed inline: they accumulate and a group commit flushes them
-//!   in batch (step (7)), after which the shared mapping table is published
-//!   and a `CheckpointComplete` record is logged (step (8)).
+//! * The **leader** ([`Leader`]) is the one write-ahead / group-commit /
+//!   recovery core every write path runs on: [`RwNode`] is a `Leader` plus
+//!   one Bw-tree, and `bg3_core::Bg3Db`'s durable mode is a `Leader` plus
+//!   the forest and the vertex table. Every mutation is fence-checked, then
+//!   applied in memory and appended to the WAL on the shared store *before*
+//!   it is acknowledged (write-ahead; Fig. 7 steps (1)–(2)); a failed
+//!   append fails the write, unapplied. Dirty pages are *not* flushed
+//!   inline: a group commit flushes them in batch (step (7)), publishes the
+//!   shared mapping table under the leader's epoch, and logs one
+//!   `CheckpointComplete` per tree the publish covered — or, when nothing
+//!   was flushed or stashed, per tree it was given (step (8)). Addresses
+//!   whose publish was interrupted wait in the leader's one stash and no
+//!   horizon covers them until they land. Sealing a newer epoch fences the
+//!   leader's WAL and publishes at once, whichever engine it drives.
 //! * Each **RO node** ([`RoNode`]) tails the WAL (step (3)). Structural
 //!   records (splits) are applied to its routing table eagerly; page
 //!   content records are parked in a **page-indexed log area** and applied
@@ -31,6 +39,7 @@
 
 pub mod forwarding;
 pub mod latency;
+pub mod leader;
 pub mod recovery;
 pub mod ro;
 pub mod rw;
@@ -38,7 +47,6 @@ pub mod wal_listener;
 
 pub use forwarding::{ForwardingConfig, ForwardingReplicator};
 pub use latency::LatencyRecorder;
-pub use recovery::recover_tree;
+pub use leader::Leader;
 pub use ro::{RoNode, RoNodeConfig, RoStatsSnapshot};
 pub use rw::{RwNode, RwNodeConfig};
-pub use wal_listener::WalListener;

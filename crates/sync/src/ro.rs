@@ -1,21 +1,19 @@
 //! The read-only (follower) node.
 
 use crate::latency::LatencyRecorder;
-use crate::recovery::recover_tree;
+use crate::leader::Leader;
 use crate::rw::{RwNode, RwNodeConfig};
-use crate::wal_listener::WalListener;
-use bg3_bwtree::tree::{FlushMode, FIRST_LEAF};
-use bg3_bwtree::{decode_base_page, Entries, PageTag, TreeEventListener};
+use bg3_bwtree::tree::FIRST_LEAF;
+use bg3_bwtree::{decode_base_page, Entries, PageTag};
 use bg3_storage::{
-    AppendOnlyStore, CrashSwitch, ErrorKind, MappingSnapshot, PageAddr, RetryPolicy,
-    SharedMappingTable, StorageError, StorageOp, StorageResult, TraceKind, INITIAL_EPOCH,
+    AppendOnlyStore, ErrorKind, MappingSnapshot, PageAddr, RetryPolicy, SharedMappingTable,
+    StorageError, StorageOp, StorageResult, TraceKind, INITIAL_EPOCH,
 };
-use bg3_wal::{Lsn, WalPayload, WalReader, WalWriter};
+use bg3_wal::{Lsn, WalPayload, WalReader};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// RO-node configuration.
 #[derive(Debug, Clone)]
@@ -684,11 +682,12 @@ impl RoNode {
     ///    before rebuilding means a zombie cannot extend the log while we
     ///    replay it.
     /// 3. **Rescan** the WAL stream from shared storage
-    ///    ([`WalWriter::recover`]) — the dead leader's in-memory LSN index
+    ///    ([`Leader::recover`]) — the dead leader's in-memory LSN index
     ///    died with it — counting the records past our `seen_lsn` as
     ///    promotion replay work.
-    /// 4. **Rebuild** the tree via [`recover_tree`] (mapping images + WAL
-    ///    tail) and come up as a deferred-flush leader on the new epoch.
+    /// 4. **Rebuild** the tree via [`Leader::recover_tree`] (mapping images
+    ///    plus WAL tail) and come up as a deferred-flush leader on the new
+    ///    epoch.
     pub fn promote(&self, epoch: u64, config: RwNodeConfig) -> StorageResult<RwNode> {
         // Promotion latency is a clock delta: failover is single-threaded
         // (one replica promotes at a time), so the delta captures the
@@ -703,30 +702,20 @@ impl RoNode {
         // 2. Fence out the old leader before reading the log tail.
         self.mapping.seal_epoch(epoch)?;
 
-        // 3. Crash-survivable rescan from shared storage.
-        let (writer, records) = WalWriter::recover(self.store.clone())?;
+        // 3. Crash-survivable rescan from shared storage, fenced at the
+        //    epoch just sealed.
+        let (leader, records) = Leader::recover(
+            self.store.clone(),
+            self.mapping.clone(),
+            epoch,
+            config.tree_config.retry,
+        )?;
         let replayed_past_seen = records.iter().filter(|r| r.lsn > seen).count() as u64;
         self.promotion_replay_records
             .fetch_add(replayed_past_seen, Ordering::Relaxed);
-        let writer = Arc::new(
-            writer
-                .with_retry(config.tree_config.retry)
-                .with_fence(self.mapping.fence().clone(), epoch),
-        );
 
         // 4. Rebuild the tree and assemble the successor leader.
-        let listener: Arc<dyn TreeEventListener> = WalListener::new(Arc::clone(&writer));
-        let mut tree = recover_tree(
-            config.tree_id,
-            self.store.clone(),
-            &self.mapping,
-            &records,
-            config.tree_config.clone(),
-            listener,
-        )?;
-        tree.set_flush_mode(FlushMode::Deferred);
-        let crash = CrashSwitch::new();
-        tree.set_crash_switch(crash.clone());
+        let node = RwNode::recover(leader, &records, config)?;
         self.set_serving_stale(false);
         let done = self.store.clock().now();
         self.store
@@ -735,14 +724,7 @@ impl RoNode {
         self.store
             .trace()
             .emit(done.0, TraceKind::Promotion, epoch, replayed_past_seen);
-        Ok(RwNode::from_parts(
-            Arc::new(tree),
-            writer,
-            self.mapping.clone(),
-            self.store.clone(),
-            config,
-            crash,
-        ))
+        Ok(node)
     }
 
     /// Drops every cached page (tests and failover simulations).

@@ -1,14 +1,9 @@
 //! The read-write (leader) node.
 
-use crate::wal_listener::WalListener;
-use bg3_bwtree::tree::FlushMode;
-use bg3_bwtree::{BwTree, BwTreeConfig, PageTag};
-use bg3_storage::{
-    AppendOnlyStore, CrashPoint, CrashSwitch, PageAddr, SharedMappingTable, StorageResult,
-    INITIAL_EPOCH,
-};
-use bg3_wal::{Lsn, WalPayload, WalReader, WalWriter};
-use parking_lot::Mutex;
+use crate::leader::Leader;
+use bg3_bwtree::{BwTree, BwTreeConfig};
+use bg3_storage::{AppendOnlyStore, CrashSwitch, SharedMappingTable, StorageResult};
+use bg3_wal::{Lsn, WalReader, WalRecord};
 use std::sync::Arc;
 
 /// RW-node configuration.
@@ -36,20 +31,11 @@ impl Default for RwNodeConfig {
 
 /// The leader: applies writes in memory, logs them to the WAL on the shared
 /// store, and group-commits dirty pages in the background (Fig. 7, left).
+/// A [`Leader`] over one flat tree.
 pub struct RwNode {
+    leader: Leader,
     tree: Arc<BwTree>,
-    wal: Arc<WalWriter>,
-    mapping: SharedMappingTable,
-    store: AppendOnlyStore,
     config: RwNodeConfig,
-    /// Leadership epoch this node writes under. Every WAL record and
-    /// mapping publish carries it; once a successor seals a higher epoch,
-    /// this node's writes are rejected at the store.
-    epoch: u64,
-    /// Flushed-page mapping updates whose publish RPC was dropped: staged
-    /// here and re-published by the next checkpoint so `CheckpointComplete`
-    /// is only ever logged for state storage actually reflects.
-    pending_publish: Mutex<Vec<(u64, Option<PageAddr>)>>,
     /// Crash points observed by this node: `MidGroupCommit` fires between
     /// the flush and the mapping publish inside [`RwNode::checkpoint`];
     /// `MidFlush` is forwarded to the tree's flush loop. Disarmed (and
@@ -59,65 +45,41 @@ pub struct RwNode {
 
 impl RwNode {
     /// Creates a leader over `store` with a fresh WAL and mapping table,
-    /// on [`INITIAL_EPOCH`]. The tree's retry policy also governs WAL
-    /// appends. The WAL shares the mapping table's fence, so sealing a new
-    /// epoch (failover) cuts this node off from both planes at once.
+    /// on [`bg3_storage::INITIAL_EPOCH`]. The tree's retry policy also
+    /// governs WAL appends. The WAL shares the mapping table's fence, so
+    /// sealing a new epoch (failover) cuts this node off from both planes
+    /// at once.
     pub fn new(store: AppendOnlyStore, config: RwNodeConfig) -> Self {
-        let crash = CrashSwitch::new();
-        let mapping = SharedMappingTable::for_store(&store);
-        let wal = Arc::new(
-            WalWriter::new(store.clone())
-                .with_retry(config.tree_config.retry)
-                .with_fence(mapping.fence().clone(), INITIAL_EPOCH),
-        );
-        let listener = WalListener::new(Arc::clone(&wal));
-        let mut tree = BwTree::with_listener(
-            config.tree_id,
-            store.clone(),
-            config.tree_config.clone(),
-            listener,
-        );
-        tree.set_flush_mode(FlushMode::Deferred);
-        tree.set_crash_switch(crash.clone());
-        RwNode {
-            tree: Arc::new(tree),
-            wal,
-            mapping,
-            store,
-            config,
-            epoch: INITIAL_EPOCH,
-            pending_publish: Mutex::new(Vec::new()),
-            crash,
-        }
+        let leader = Leader::new(store, config.tree_config.retry);
+        let tree = leader.tree(config.tree_id, config.tree_config.clone());
+        Self::assemble(leader, tree, config)
     }
 
-    /// Assembles a leader from recovered parts (promotion / recovery path).
-    /// The epoch is taken from the WAL writer, which the caller has already
-    /// fenced at the successor epoch.
-    pub(crate) fn from_parts(
-        tree: Arc<BwTree>,
-        wal: Arc<WalWriter>,
-        mapping: SharedMappingTable,
-        store: AppendOnlyStore,
+    /// Rebuilds the node's tree from a reopened leader and its surviving
+    /// WAL records (promotion / recovery path).
+    pub(crate) fn recover(
+        leader: Leader,
+        records: &[WalRecord],
         config: RwNodeConfig,
-        crash: CrashSwitch,
-    ) -> Self {
-        let epoch = wal.epoch();
+    ) -> StorageResult<Self> {
+        let tree = leader.recover_tree(config.tree_id, records, config.tree_config.clone())?;
+        Ok(Self::assemble(leader, tree, config))
+    }
+
+    fn assemble(leader: Leader, mut tree: BwTree, config: RwNodeConfig) -> Self {
+        let crash = CrashSwitch::new();
+        tree.set_crash_switch(crash.clone());
         RwNode {
-            tree,
-            wal,
-            mapping,
-            store,
+            leader,
+            tree: Arc::new(tree),
             config,
-            epoch,
-            pending_publish: Mutex::new(Vec::new()),
             crash,
         }
     }
 
     /// The leadership epoch this node writes under.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.leader.epoch()
     }
 
     /// The crash switch shared by this node and its tree — arm it to kill
@@ -128,12 +90,12 @@ impl RwNode {
 
     /// The shared mapping table (hand this to RO nodes).
     pub fn mapping(&self) -> &SharedMappingTable {
-        &self.mapping
+        self.leader.mapping()
     }
 
     /// Opens a WAL reader positioned at the log's start (hand to RO nodes).
     pub fn open_wal_reader(&self) -> WalReader {
-        self.wal.open_reader()
+        self.leader.wal().open_reader()
     }
 
     /// The underlying tree (diagnostics and direct reads on the leader).
@@ -143,12 +105,12 @@ impl RwNode {
 
     /// The shared store.
     pub fn store(&self) -> &AppendOnlyStore {
-        &self.store
+        self.leader.store()
     }
 
     /// Last WAL LSN written.
     pub fn last_lsn(&self) -> Lsn {
-        self.wal.last_lsn()
+        self.leader.wal().last_lsn()
     }
 
     /// Writes a key/value pair. The WAL record is durable when this
@@ -159,14 +121,14 @@ impl RwNode {
     /// its in-memory state unchanged, instead of diverging from the log it
     /// can no longer write.
     pub fn put(&self, key: &[u8], value: &[u8]) -> StorageResult<()> {
-        self.wal.check_fence()?;
+        self.leader.check_fence()?;
         self.tree.put(key, value)?;
         self.maybe_group_commit()
     }
 
     /// Deletes a key.
     pub fn delete(&self, key: &[u8]) -> StorageResult<()> {
-        self.wal.check_fence()?;
+        self.leader.check_fence()?;
         self.tree.delete(key)?;
         self.maybe_group_commit()
     }
@@ -184,60 +146,11 @@ impl RwNode {
     }
 
     /// Flushes all dirty pages, publishes the new mapping version, and logs
-    /// `CheckpointComplete` (Fig. 7 steps (7)–(8)). Returns the LSN the
-    /// checkpoint covers.
+    /// `CheckpointComplete` (Fig. 7 steps (7)–(8)); see
+    /// [`Leader::checkpoint`]. Returns the LSN the checkpoint covers.
     pub fn checkpoint(&self) -> StorageResult<Lsn> {
-        // Reject zombie checkpoints up front: a sealed-out leader must not
-        // flush page images (they would orphan-litter the base stream) and
-        // must observe its demotion as a fenced *publish* attempt.
-        self.mapping.check_epoch(self.epoch)?;
-        // Everything logged up to here is covered once the flush lands.
-        let upto = self.wal.last_lsn();
-        let flushed = self.tree.flush_dirty()?;
-        // Chaos hook: die after the flush but before the publish — new page
-        // images are durable yet unreachable, and no `CheckpointComplete`
-        // was logged, so recovery replays the WAL past the previous horizon.
-        self.crash.fire(CrashPoint::MidGroupCommit)?;
-        let mut pending = self.pending_publish.lock();
-        pending.extend(flushed.iter().map(|f| {
-            (
-                PageTag {
-                    tree: self.config.tree_id,
-                    page: f.page,
-                }
-                .encode(),
-                Some(f.addr),
-            )
-        }));
-        let mut version = self.mapping.snapshot().version();
-        if !pending.is_empty() {
-            let after = self
-                .mapping
-                .publish_fenced(self.epoch, pending.iter().cloned())?;
-            if after == version {
-                // The publish RPC was dropped (injected fault). Keep the
-                // batch staged and do NOT log `CheckpointComplete`: ROs
-                // must not discard parked records that storage does not
-                // reflect. The next checkpoint retries the publish.
-                return Ok(upto);
-            }
-            pending.clear();
-            version = after;
-        }
-        drop(pending);
-        // The record names the exact mapping version covering `upto`, so a
-        // follower adopts that version — not the live table — on replay.
-        self.wal
-            .append(
-                self.config.tree_id as u64,
-                0,
-                WalPayload::CheckpointComplete {
-                    upto: upto.0,
-                    mapping_version: version,
-                },
-            )
-            .map(|r| r.lsn)?;
-        Ok(upto)
+        self.leader
+            .checkpoint(std::slice::from_ref(&self.tree), &self.crash)
     }
 }
 
@@ -253,7 +166,8 @@ impl std::fmt::Debug for RwNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bg3_storage::{StoreBuilder, StoreConfig, StreamId};
+    use bg3_storage::{CrashPoint, StoreBuilder, StoreConfig, StreamId};
+    use bg3_wal::WalPayload;
 
     fn node(group_commit_pages: usize) -> RwNode {
         RwNode::new(
@@ -425,6 +339,41 @@ mod tests {
             .unwrap()
             .iter()
             .any(|r| matches!(r.payload, WalPayload::CheckpointComplete { .. })));
+    }
+
+    #[test]
+    fn wal_failure_is_a_typed_error_not_a_panic() {
+        use bg3_storage::{
+            ErrorKind, FaultBackend, FaultKind, FaultOp, FaultPlan, FaultRule, IoErrorClass,
+            SimBackend,
+        };
+        // The first WAL fsync succeeds; every later one fails.
+        let plan = FaultPlan::seeded(1)
+            .with_rule(FaultRule::new(FaultOp::Sync, FaultKind::SyncFail, 1.0).after(1));
+        let backend = Arc::new(FaultBackend::new(Arc::new(SimBackend::new()), plan));
+        let store = StoreBuilder::from_config(StoreConfig::counting())
+            .backend(backend)
+            .build();
+        let n = RwNode::new(store, RwNodeConfig::default());
+        n.put(b"before", b"v").unwrap();
+        let err = n.put(b"failed", b"w").unwrap_err();
+        assert!(
+            matches!(
+                err.kind,
+                ErrorKind::Io {
+                    class: IoErrorClass::SyncFailed,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(n.put(b"after", b"w").unwrap_err().is_sync_poisoned());
+        assert_eq!(n.get(b"before").unwrap(), Some(b"v".to_vec()));
+        assert_eq!(
+            n.get(b"failed").unwrap(),
+            None,
+            "unlogged write not applied"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Bridges Bw-tree mutation events into WAL records.
 
 use bg3_bwtree::{TreeEvent, TreeEventListener};
+use bg3_storage::StorageResult;
 use bg3_wal::{WalPayload, WalWriter};
 use std::sync::Arc;
 
@@ -36,8 +37,8 @@ impl WalListener {
 }
 
 impl TreeEventListener for WalListener {
-    fn on_event(&self, tree: u64, event: &TreeEvent) {
-        let result = match event {
+    fn on_event(&self, tree: u64, event: &TreeEvent) -> StorageResult<()> {
+        match event {
             TreeEvent::Upsert { page, key, value } => self.wal.append(
                 tree,
                 *page,
@@ -89,10 +90,10 @@ impl TreeEventListener for WalListener {
                     group: group.clone(),
                 },
             ),
-        };
-        // The WAL stream is in-process; failure here means the simulated
-        // store rejected an append, which is a programming error.
-        result.expect("WAL append failed");
+        }
+        // A failed append (fsync error, poisoned tail, fence) reaches the
+        // tree, which aborts the mutation unacked.
+        .map(|_| ())
     }
 }
 
@@ -107,24 +108,28 @@ mod tests {
         let store = StoreBuilder::from_config(StoreConfig::counting()).build();
         let wal = Arc::new(WalWriter::new(store));
         let listener = WalListener::new(Arc::clone(&wal));
-        listener.on_event(
-            3,
-            &TreeEvent::Upsert {
-                page: 1,
-                key: b"k".to_vec(),
-                value: b"v".to_vec(),
-            },
-        );
-        listener.on_event(
-            3,
-            &TreeEvent::Split {
-                left: 1,
-                right: 2,
-                separator: b"m".to_vec(),
-                left_image: vec![0, 0, 0, 0],
-                right_image: vec![0, 0, 0, 0],
-            },
-        );
+        listener
+            .on_event(
+                3,
+                &TreeEvent::Upsert {
+                    page: 1,
+                    key: b"k".to_vec(),
+                    value: b"v".to_vec(),
+                },
+            )
+            .unwrap();
+        listener
+            .on_event(
+                3,
+                &TreeEvent::Split {
+                    left: 1,
+                    right: 2,
+                    separator: b"m".to_vec(),
+                    left_image: vec![0, 0, 0, 0],
+                    right_image: vec![0, 0, 0, 0],
+                },
+            )
+            .unwrap();
         assert_eq!(wal.last_lsn(), Lsn(3), "upsert + split + new-page");
         let mut reader = wal.open_reader();
         let records = reader.fetch_new().unwrap();

@@ -32,6 +32,12 @@ cargo clippy -p bg3-graph -p bg3-query --all-targets -- -D warnings
 echo "==> cargo clippy -p bg3-obs (span/ledger lint gate)"
 cargo clippy -p bg3-obs --all-targets -- -D warnings
 
+# The leader protocol (bg3_sync::Leader) is the one WAL / group-commit /
+# recovery core both RwNode and Bg3Db run on; lint the two crates on either
+# side of that seam separately as well.
+echo "==> cargo clippy -p bg3-sync -p bg3-core (leader seam lint gate)"
+cargo clippy -p bg3-sync -p bg3-core --all-targets -- -D warnings
+
 echo "==> cargo test --workspace (tier-1)"
 cargo test --workspace --quiet
 
@@ -91,5 +97,11 @@ cargo run --release --quiet -p bg3-bench --bin metrics_check -- target/metrics-p
 
 echo "==> span overhead bench (profiled-over-plain ratio bound asserted)"
 cargo bench --quiet -p bg3-bench --bench span_overhead
+
+# perfbench is a workspace of its own that builds against the engine crates
+# by path: building and testing it here turns an engine API change that
+# breaks the benchmark into a pre-merge failure.
+echo "==> perfbench build + tests (own workspace, release)"
+CARGO_TARGET_DIR=target/perfbench cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> all checks passed"
